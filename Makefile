@@ -1,7 +1,9 @@
 # Tier-1 verification targets. `make check` is what CI runs: lint (vet +
 # gofmt) plus the full test suite under the race detector, which
 # exercises the concurrent training/cancellation paths and Stage 3's
-# generation worker pool.
+# generation worker pool. The focused *-race targets below are subsets
+# of test-race, kept for fast individual runs; check does not repeat
+# them.
 
 GO ?= go
 
@@ -9,7 +11,7 @@ GO ?= go
 	attn-race quant-race stage1-race corpus-race serve-race repair-race \
 	build bench bench-stage1 bench-stage2 bench-stage3 bench-repair
 
-check: lint obs-race kernels-race attn-race quant-race stage1-race corpus-race serve-race repair-race test-race
+check: lint test-race
 
 build:
 	$(GO) build ./...

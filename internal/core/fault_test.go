@@ -7,6 +7,7 @@ import (
 
 	"vega/internal/faultinject"
 	"vega/internal/model"
+	"vega/internal/obs"
 )
 
 // faultPipeline builds a pipeline with an untrained model — enough for
@@ -48,6 +49,49 @@ func TestGeneratePanicIsolatedToOneFunction(t *testing.T) {
 	for _, f := range b.Functions {
 		if f.Name != "getRelocType" && f.Failed() {
 			t.Errorf("unexpected failure in %s: %s", f.Name, f.Err)
+		}
+	}
+}
+
+// TestEncodePanicSelfEncodes forces the per-function encode step to panic
+// for one function. The panic must be counted on gen.encode_panics, not
+// recovered as a failed function: that function's rows self-encode and it
+// must come out byte-identical to an un-faulted run, as must every other.
+func TestEncodePanicSelfEncodes(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	mem := &obs.MemSink{}
+	cfg := tinyConfig()
+	cfg.Obs = obs.New(mem)
+	p, err := New(testCorpus(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initModel(t, p)
+	ref := p.GenerateBackend("RISCV")
+
+	faultinject.Arm(faultinject.GenerateEncodePanic, "getRelocType")
+	got := p.GenerateBackend("RISCV")
+	if n := faultinject.Fired(faultinject.GenerateEncodePanic); n != 1 {
+		t.Fatalf("encode fault fired %d times, want 1", n)
+	}
+	cfg.Obs.Flush()
+	if m, _ := mem.Metric("gen.encode_panics"); m.Value != 1 {
+		t.Errorf("gen.encode_panics = %v, want 1", m.Value)
+	}
+	if m, _ := mem.Metric("gen.encode_seconds"); m.Count != uint64(len(ref.Functions)+len(got.Functions)) {
+		t.Errorf("gen.encode_seconds observed %d times, want one per function (%d)",
+			m.Count, len(ref.Functions)+len(got.Functions))
+	}
+	if got.Recovered != 0 {
+		t.Errorf("Recovered = %d, want 0: an encode panic must not fail the function", got.Recovered)
+	}
+	if len(got.Functions) != len(ref.Functions) {
+		t.Fatalf("faulted run generated %d functions, want %d", len(got.Functions), len(ref.Functions))
+	}
+	for i, f := range got.Functions {
+		if functionFingerprint(f) != functionFingerprint(ref.Functions[i]) {
+			t.Errorf("%s differs from the un-faulted run", f.Name)
 		}
 	}
 }

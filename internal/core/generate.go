@@ -30,7 +30,9 @@ func joinTokens(toks []string) string { return template.JoinTokens(toks) }
 // installed.
 type genMetrics struct {
 	functions      *obs.Counter   // gen.functions: interface functions decoded
-	decodeSeconds  *obs.Histogram // gen.decode_seconds: per-function decode time
+	decodeSeconds  *obs.Histogram // gen.decode_seconds: per-function encode + decode time
+	encodeSeconds  *obs.Histogram // gen.encode_seconds: per-function encode step time
+	encodePanics   *obs.Counter   // gen.encode_panics: encode steps that panicked (rows self-encode)
 	queueWait      *obs.Histogram // gen.queue_wait_seconds: pool start → task pickup
 	recovered      *obs.Counter   // gen.recovered_panics: functions salvaged by the panic boundary
 	beamFallbacks  *obs.Counter   // gen.beam_fallbacks: beam requests served greedily (wrong arch)
@@ -46,6 +48,8 @@ func newGenMetrics(o *obs.Obs) genMetrics {
 	return genMetrics{
 		functions:      o.Counter("gen.functions"),
 		decodeSeconds:  o.Histogram("gen.decode_seconds"),
+		encodeSeconds:  o.Histogram("gen.encode_seconds"),
+		encodePanics:   o.Counter("gen.encode_panics"),
 		queueWait:      o.Histogram("gen.queue_wait_seconds"),
 		recovered:      o.Counter("gen.recovered_panics"),
 		beamFallbacks:  o.Counter("gen.beam_fallbacks"),
@@ -72,9 +76,9 @@ func (p *Pipeline) GenerateFunction(g *Group, target string) (fn *generate.Funct
 }
 
 // genMode carries one generation call's decode strategy and any
-// precomputed state from the batch pre-pass. The zero value is the
-// historical behaviour: per-row self-encoded float32 decoding honoring
-// Cfg.BeamWidth.
+// precomputed state from the per-function encode step. The zero value is
+// the historical behaviour: per-row self-encoded float32 decoding
+// honoring Cfg.BeamWidth.
 type genMode struct {
 	// greedy bypasses beam search regardless of Cfg.BeamWidth — the
 	// serving degrade ladder's beam→greedy downgrade, which must not flip
@@ -90,19 +94,50 @@ type genMode struct {
 	// confidence fails confidence.Threshold. No effect unless
 	// Cfg.BeamWidth > 1 and greedy is off.
 	escalate bool
-	// tv, when non-nil, is the precomputed target-value set (the batch
-	// pre-pass resolves it once per task; nil recomputes locally).
+	// tv, when non-nil, is the precomputed target-value set (nil
+	// recomputes locally).
 	tv *feature.TargetFeatures
 	// rowMems, when non-nil, holds one pre-encoded encoder memory per
 	// template row (quantized iff quantize is set); nil entries, and a
 	// nil slice, self-encode per row.
 	rowMems [][]float32
 	// rowIDs, when non-nil, holds the encoded input token ids per
-	// template row, exactly what the batch pre-pass fed EncodeBatch —
-	// reusing them skips rebuilding the row features and re-encoding the
-	// vocabulary a second time per row. A nil slice (or short entry)
-	// rebuilds locally.
+	// template row, exactly what rowMems were encoded from — reusing them
+	// skips rebuilding the row features and re-encoding the vocabulary a
+	// second time per row. A nil slice (or short entry) rebuilds locally.
 	rowIDs [][]int
+}
+
+// encodeFunction is the encode step a Stage 3 pool worker runs before
+// decoding g: it resolves the target values, builds every template
+// row's encoder input once and, when enc is non-nil, encodes all of the
+// function's rows in one EncodeBatch call. EncodeBatch is bit-identical
+// per sample whatever the batch composition, so decoding from these
+// memories matches per-row self-encoding byte for byte.
+//
+// The step is a panic boundary: a crash returns mode unchanged with the
+// recovered value, and generateFunction then re-resolves everything and
+// self-encodes each row (or fails the function under its own boundary).
+func (p *Pipeline) encodeFunction(g *Group, target string, enc *model.Transformer, mode genMode) (out genMode, r any) {
+	defer func() {
+		if r = recover(); r != nil {
+			out = mode
+		}
+	}()
+	if faultinject.Should(faultinject.GenerateEncodePanic, g.Func.Name) {
+		panic(fmt.Sprintf("faultinject generate-encode-panic in %s", g.Func.Name))
+	}
+	tv := p.Extractor.TargetValues(g.TF, target)
+	ids := make([][]int, len(g.FT.Rows))
+	for ri := range g.FT.Rows {
+		ids[ri] = append([]int{model.CLS}, p.Vocab.Encode(p.rowInputTokens(g, ri, tv, target))...)
+	}
+	out = mode
+	out.tv, out.rowIDs = tv, ids
+	if enc != nil {
+		out.rowMems = enc.EncodeBatch(ids, mode.quantize)
+	}
+	return out, nil
 }
 
 // generateFunction is GenerateFunction under an explicit decode mode.
@@ -510,91 +545,16 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	quantize := opt.Quantize || p.Cfg.Quantize
 	escalate := opt.BeamEscalate || p.Cfg.BeamEscalate
 
-	// Batch encode pre-pass: resolve each task's target values once, build
-	// every (task, row) encoder input in deterministic task order, and
-	// encode them in fixed-size chunks through the ragged batched encoder —
-	// wide enough to cross the kernel layer's parallel-dispatch gate, which
-	// per-row self-encoding rarely does. Rows then decode straight from
-	// their pre-encoded memories. The pass is skipped when it cannot help:
-	// a non-transformer or the reference uncached decoder self-encodes
-	// anyway, and a beam run without escalation re-encodes inside beam
-	// search regardless. Panics during value resolution or input building
-	// leave that task to the per-function boundary in generateFunction;
-	// a panic while encoding a chunk leaves those rows to self-encode.
-	tvs := make([]*feature.TargetFeatures, len(tasks))
-	for i := range tasks {
-		func() {
-			defer func() { _ = recover() }() // leave nil: generateFunction re-resolves
-			tvs[i] = p.Extractor.TargetValues(tasks[i].g.TF, target)
-		}()
-	}
-	taskMems := make([][][]float32, len(tasks))
-	taskIDs := make([][][]int, len(tasks))
-	encShare := make([]float64, len(tasks))
-	tModel, isT := p.Model.(*model.Transformer)
+	// Rows are pre-encoded per function (see encodeFunction) only where
+	// decodeRow decodes from a memory: a non-transformer or the reference
+	// uncached decoder self-encodes anyway, and a beam run without
+	// escalation re-encodes inside beam search regardless.
+	var enc *model.Transformer
 	beamConfigured := p.Cfg.BeamWidth > 1 && !opt.Greedy
-	if isT && !p.uncachedDecode && !(beamConfigured && !escalate) {
-		type rowRef struct{ task, row int }
-		var refs []rowRef
-		var inputs [][]int
-		for i := range tasks {
-			if tvs[i] == nil {
-				continue
-			}
-			g := tasks[i].g
-			rows := func() (rows [][]int) {
-				defer func() {
-					if recover() != nil {
-						rows = nil
-					}
-				}()
-				for ri := range g.FT.Rows {
-					in := p.rowInputTokens(g, ri, tvs[i], target)
-					rows = append(rows, append([]int{model.CLS}, p.Vocab.Encode(in)...))
-				}
-				return rows
-			}()
-			if rows == nil {
-				continue
-			}
-			taskIDs[i] = rows
-			taskMems[i] = make([][]float32, len(rows))
-			for ri := range rows {
-				refs = append(refs, rowRef{i, ri})
-			}
-			inputs = append(inputs, rows...)
-		}
-		// Chunking bounds the shared backing array each batch pins (the
-		// memories are views into it) while still packing ~two orders of
-		// magnitude more rows per kernel call than self-encoding.
-		const encChunk = 128
-		for lo := 0; lo < len(inputs); lo += encChunk {
-			hi := lo + encChunk
-			if hi > len(inputs) {
-				hi = len(inputs)
-			}
-			chunkStart := time.Now()
-			mems := func() (m [][]float32) {
-				defer func() {
-					if recover() != nil {
-						m = nil
-					}
-				}()
-				return tModel.EncodeBatch(inputs[lo:hi], quantize)
-			}()
-			if mems == nil {
-				continue // these rows self-encode in decodeRow
-			}
-			// Seconds keeps Fig. 7's per-function semantics: the chunk's
-			// wall clock is attributed equally to the rows it encoded.
-			share := time.Since(chunkStart).Seconds() / float64(hi-lo)
-			for j, mem := range mems {
-				r := refs[lo+j]
-				taskMems[r.task][r.row] = mem
-				encShare[r.task] += share
-			}
-		}
+	if t, isT := p.Model.(*model.Transformer); isT && !p.uncachedDecode && !(beamConfigured && !escalate) {
+		enc = t
 	}
+	var encodeWarn sync.Once
 
 	// Verify-and-repair: built only when requested, so the default path
 	// pays nothing (no oracle, no engine, not even a nil-check per row).
@@ -639,21 +599,29 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 				// Queue wait: every task is ready at pool start, so the
 				// gap to pickup measures pool starvation.
 				p.gm.queueWait.Observe(time.Since(poolStart).Seconds())
+				g := tasks[i].g
 				_, fnSpan := obs.Start(ctx, "stage3/function",
-					obs.String("func", tasks[i].g.Func.Name),
+					obs.String("func", g.Func.Name),
 					obs.String("module", tasks[i].module))
 				start := time.Now()
-				results[i] = p.generateFunction(tasks[i].g, target, genMode{
+				mode, r := p.encodeFunction(g, target, enc, genMode{
 					greedy:   opt.Greedy,
 					quantize: quantize,
 					escalate: escalate,
-					tv:       tvs[i],
-					rowMems:  taskMems[i],
 				})
-				durs[i] = time.Since(start).Seconds() + encShare[i]
+				if r != nil {
+					p.gm.encodePanics.Inc()
+					encodeWarn.Do(func() {
+						log.Printf("core: encoding %s panicked (first of possibly many this run); its rows self-encode: %v",
+							g.Func.Name, r)
+					})
+				}
+				p.gm.encodeSeconds.Observe(time.Since(start).Seconds())
+				results[i] = p.generateFunction(g, target, mode)
+				durs[i] = time.Since(start).Seconds()
 				if eng != nil {
-					// Outside the decode timing: Seconds keeps Fig. 7's
-					// pure-decode semantics whether or not verify is on.
+					// Outside the timing: Seconds keeps Fig. 7's
+					// encode + decode semantics whether or not verify is on.
 					eng.Run(ctx, results[i], repairRounds)
 				}
 				fnSpan.End()

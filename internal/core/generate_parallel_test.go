@@ -65,26 +65,59 @@ func TestParallelCachedMatchesSerialUncached(t *testing.T) {
 }
 
 // TestParallelWorkerCountInvariant checks output determinism across worker
-// counts on the cached path, plus the per-module Seconds contract.
+// counts on every cached decode path — float32, int8 (Quantize) and
+// greedy-first beam (BeamWidth 2 + BeamEscalate) — plus the per-module
+// Seconds contract. Each worker count must give byte-identical backends
+// with equal Recovered counts, and a Functions-scoped one-function call
+// (the serving shape: a one-worker pool encoding a single function) must
+// reproduce that function's bytes from the whole-backend run.
 func TestParallelWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
-
-	p.Cfg.Workers = 1
-	one := p.GenerateBackend("RISCV")
-	p.Cfg.Workers = 8
-	many := p.GenerateBackend("RISCV")
-
-	if a, b := backendFingerprint(one), backendFingerprint(many); a != b {
-		t.Error("backend differs between Workers=1 and Workers=8")
+	ctx := context.Background()
+	paths := []struct {
+		name string
+		beam int
+		opt  GenOptions
+	}{
+		{"float32", 0, GenOptions{}},
+		{"quantize", 0, GenOptions{Quantize: true}},
+		{"beam-escalate", 2, GenOptions{BeamEscalate: true}},
 	}
-	for _, b := range []*generate.Backend{one, many} {
-		for _, m := range corpus.Modules {
-			if _, ok := b.Seconds[string(m)]; !ok {
-				t.Errorf("Seconds missing module %s", m)
+	for _, path := range paths {
+		p.Cfg.BeamWidth = path.beam
+		var ref *generate.Backend
+		for _, w := range []int{1, 2, 8} {
+			p.Cfg.Workers = w
+			b := p.GenerateBackendOptions(ctx, "RISCV", path.opt)
+			for _, m := range corpus.Modules {
+				if _, ok := b.Seconds[string(m)]; !ok {
+					t.Errorf("%s workers=%d: Seconds missing module %s", path.name, w, m)
+				}
 			}
+			if ref == nil {
+				ref = b
+				continue
+			}
+			if backendFingerprint(ref) != backendFingerprint(b) {
+				t.Errorf("%s: backend differs between Workers=1 and Workers=%d", path.name, w)
+			}
+			if ref.Recovered != b.Recovered {
+				t.Errorf("%s: Recovered %d at Workers=1, %d at Workers=%d",
+					path.name, ref.Recovered, b.Recovered, w)
+			}
+		}
+		one := path.opt
+		one.Functions = []string{"getRelocType"}
+		b := p.GenerateBackendOptions(ctx, "RISCV", one)
+		if len(b.Functions) != 1 {
+			t.Fatalf("%s: scoped call generated %d functions, want 1", path.name, len(b.Functions))
+		}
+		if want := ref.Function("getRelocType"); want == nil ||
+			functionFingerprint(b.Functions[0]) != functionFingerprint(want) {
+			t.Errorf("%s: one-function call differs from the whole-backend run", path.name)
 		}
 	}
 }

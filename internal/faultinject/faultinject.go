@@ -32,6 +32,10 @@ const (
 	// GeneratePanic panics inside GenerateFunction; key = interface
 	// function name.
 	GeneratePanic Point = "generate-panic"
+	// GenerateEncodePanic panics inside Stage 3's per-function encode
+	// step, leaving that function's rows to self-encode; key = interface
+	// function name.
+	GenerateEncodePanic Point = "generate-encode-panic"
 	// GenerateCancel aborts backend generation as if the context had
 	// been canceled; key = module name.
 	GenerateCancel Point = "generate-cancel"
@@ -57,14 +61,15 @@ const (
 // validated against it, so a typo in a point name is reported instead of
 // being armed forever without ever firing.
 var registry = map[Point]bool{
-	CheckpointCorrupt: true,
-	GeneratePanic:     true,
-	GenerateCancel:    true,
-	TrainNaN:          true,
-	TrainCancel:       true,
-	ServeAdmitReject:  true,
-	ServeSwapFail:     true,
-	ServeHandlerPanic: true,
+	CheckpointCorrupt:   true,
+	GeneratePanic:       true,
+	GenerateEncodePanic: true,
+	GenerateCancel:      true,
+	TrainNaN:            true,
+	TrainCancel:         true,
+	ServeAdmitReject:    true,
+	ServeSwapFail:       true,
+	ServeHandlerPanic:   true,
 }
 
 // Points returns every registered fault point name, sorted — the list
