@@ -95,10 +95,15 @@ serve-race:
 # Verify-and-repair race suite: the CEGAR engine and oracle (shared by
 # every generation worker) plus the interp↔sim differential fuzz, whose
 # seeds run across goroutines precisely so the race detector watches the
-# compiler tables and both executors being shared.
+# compiler tables and both executors being shared; the pipeline's verify
+# tests, among them the lazy-vs-eager candidate differential at Workers
+# 1 and 2; and the beam step's TopK contract, fuzz seeds and hoisted
+# log-normalizer bit-identity.
 repair-race:
 	$(GO) test -race ./internal/repair
 	$(GO) test -race -run 'DifferentialInterpVsSim' ./internal/sim
+	$(GO) test -race -run 'Verify|Repair' ./internal/core
+	$(GO) test -race -run 'TopK|HoistedNormalizer' ./internal/model
 
 # Stage-timing benchmarks, each teed through cmd/benchjson so the run
 # leaves a machine-readable artifact beside the log.

@@ -42,6 +42,7 @@ type genMetrics struct {
 	quantDecodes   *obs.Counter   // gen.quant_decodes: rows decoded on the int8 path
 	quantFallbacks *obs.Counter   // gen.quant_fallbacks: ambiguous int8 rows re-decoded in float32
 	escalations    *obs.Counter   // gen.escalations: low-confidence greedy rows re-decoded with beam
+	repairBeams    *obs.Counter   // repair.beam_decodes: beam searches run to mine repair candidates
 }
 
 func newGenMetrics(o *obs.Obs) genMetrics {
@@ -59,6 +60,7 @@ func newGenMetrics(o *obs.Obs) genMetrics {
 		quantDecodes:   o.Counter("gen.quant_decodes"),
 		quantFallbacks: o.Counter("gen.quant_fallbacks"),
 		escalations:    o.Counter("gen.escalations"),
+		repairBeams:    o.Counter("repair.beam_decodes"),
 	}
 }
 
@@ -559,17 +561,28 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	// Verify-and-repair: built only when requested, so the default path
 	// pays nothing (no oracle, no engine, not even a nil-check per row).
 	// One engine serves every worker — it is stateless between functions
-	// and each Verify builds a fresh eval universe, so per-function runs
-	// are independent and the output stays byte-identical for any worker
-	// count.
+	// and each Run builds its own per-function verifier, so per-function
+	// runs are independent and the output stays byte-identical for any
+	// worker count.
 	var eng *repair.Engine
 	repairRounds := -1 // engine default
 	if opt.Verify || p.Cfg.Verify {
-		// Best-effort: a target outside the fleet (generating for a brand
-		// new ISA) simply has no reference, and the oracle degrades.
-		ref, _ := p.Provider.ReferenceBackend(target)
-		eng = repair.NewEngine(&repair.Oracle{Ref: ref},
-			repairDecoder{p: p, target: target},
+		// A target outside the fleet (generating for a brand new ISA)
+		// simply has no reference, and the oracle degrades quietly. A
+		// fleet target whose reference fails to build degrades the same
+		// way, but says so: every function would otherwise read
+		// no-oracle with no hint why.
+		ref, err := p.Provider.ReferenceBackend(target)
+		if err != nil && p.FindTarget(target) != nil {
+			p.refWarn.Do(func() {
+				log.Printf("core: reference backend for %s unavailable, verification reports no-oracle: %v", target, err)
+			})
+		}
+		var dec repair.Decoder = repairDecoder{p: p, target: target}
+		if p.wrapRepairDecoder != nil {
+			dec = p.wrapRepairDecoder(dec)
+		}
+		eng = repair.NewEngine(&repair.Oracle{Ref: ref}, dec,
 			repair.Options{MaxRounds: p.Cfg.RepairRounds}, p.Cfg.Obs)
 		if opt.SkipRepair {
 			repairRounds = 0 // verify only: the degrade ladder's rung

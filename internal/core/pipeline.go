@@ -20,6 +20,7 @@ import (
 	"vega/internal/feature"
 	"vega/internal/model"
 	"vega/internal/obs"
+	"vega/internal/repair"
 	"vega/internal/s1cache"
 	"vega/internal/template"
 )
@@ -197,6 +198,16 @@ type Pipeline struct {
 	// pretrainWarn gates the once-per-pipeline log when the pre-training
 	// curriculum overflows pretrainCap.
 	pretrainWarn sync.Once
+
+	// refWarn gates the once-per-pipeline log when a fleet target's
+	// reference backend fails to build under Verify.
+	refWarn sync.Once
+
+	// wrapRepairDecoder, when set, wraps the repair decoder Stage 3
+	// hands the verify-and-repair engine. Test-only: the lazy-vs-eager
+	// differential drains every candidate sequence up front through it
+	// and requires the verified backends to match byte for byte.
+	wrapRepairDecoder func(repair.Decoder) repair.Decoder
 }
 
 // New builds the pipeline through Stage 1 (templates + features) over a

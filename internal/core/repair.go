@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"strings"
 
 	"vega/internal/confidence"
@@ -32,19 +33,30 @@ const repairBeamWidth = 4
 //     may have mis-scored);
 //  4. when the row may legitimately be absent, the explicit drop.
 //
-// Texts in banned (refuted by earlier rounds) are pruned. Candidate
-// scores are lifted to the confidence threshold so an adopted candidate
-// renders; only fully verified functions ever keep these lifted scores —
-// failed repairs revert to the original statements.
+// The sources are lazy: a source runs only once the engine pulls past
+// the candidates of the sources before it, so the beam search (the
+// expensive one) is skipped whenever the template grid satisfies the
+// engine first. Texts in banned (refuted by earlier rounds) are pruned.
+// Candidate scores are lifted to the confidence threshold so an adopted
+// candidate renders; only fully verified functions ever keep these
+// lifted scores — failed repairs revert to the original statements.
 type repairDecoder struct {
 	p      *Pipeline
 	target string
 }
 
-func (d repairDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) []generate.Statement {
+func (d repairDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) iter.Seq[generate.Statement] {
+	return func(yield func(generate.Statement) bool) {
+		d.candidates(fnName, row, banned, forcePresent, yield)
+	}
+}
+
+// candidates yields Candidates' sequence, returning as soon as yield
+// reports the consumer has stopped.
+func (d repairDecoder) candidates(fnName string, row int, banned []string, forcePresent bool, yield func(generate.Statement) bool) {
 	g := d.p.GroupByName(fnName)
 	if g == nil || row < 0 || row >= len(g.FT.Rows) {
-		return nil
+		return
 	}
 	tv := d.p.Extractor.TargetValues(g.TF, d.target)
 	skip := make(map[string]bool, len(banned))
@@ -75,19 +87,19 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 		}
 		return false
 	}
-	var out []generate.Statement
 	seenAbsent := false
-	add := func(st generate.Statement) {
+	// emit filters st and yields the survivors; it reports whether
+	// the consumer wants more.
+	emit := func(st generate.Statement) bool {
 		if st.Absent {
 			if forcePresent || seenAbsent {
-				return
+				return true
 			}
 			seenAbsent = true
-			out = append(out, st)
-			return
+			return yield(st)
 		}
 		if st.Text == "" || skip[st.Text] || unresolved(st.Text) {
-			return
+			return true
 		}
 		skip[st.Text] = true
 		if !confidence.Likely(st.Score) {
@@ -96,11 +108,13 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 			// score, now decides whether it stays.
 			st.Score = confidence.Threshold
 		}
-		out = append(out, st)
+		return yield(st)
 	}
 
 	for _, st := range d.templateCandidates(g, row, tv) {
-		add(st)
+		if !emit(st) {
+			return
+		}
 	}
 	if bs, ok := d.p.Model.(beamSearcher); ok {
 		width := d.p.Cfg.BeamWidth
@@ -109,8 +123,11 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 		}
 		in := d.p.rowInputTokens(g, row, tv, d.target)
 		inIDs := append([]int{model.CLS}, d.p.Vocab.Encode(in)...)
+		d.p.gm.repairBeams.Inc()
 		for _, beam := range bs.BeamGenerate(inIDs, d.p.Cfg.MaxOutPieces, width) {
-			add(d.p.decodeStatement(g, row, tv, beam.IDs))
+			if !emit(d.p.decodeStatement(g, row, tv, beam.IDs)) {
+				return
+			}
 		}
 	}
 	for _, tgt := range g.Targets {
@@ -118,16 +135,17 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 		if !ok {
 			continue
 		}
-		add(generate.Statement{
+		if !emit(generate.Statement{
 			Row:     row,
 			Text:    joinTokens(toks),
 			Score:   confidence.Threshold,
 			Formula: d.p.rowFormulaScore(g, row, tv, true),
-		})
+		}) {
+			return
+		}
 	}
-	add(generate.Statement{Row: row, Absent: true,
+	emit(generate.Statement{Row: row, Absent: true,
 		Formula: d.p.rowFormulaScore(g, row, tv, false)})
-	return out
 }
 
 // Caps on the template-instantiation grid: values per placeholder and

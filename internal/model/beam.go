@@ -88,12 +88,12 @@ func (t *Transformer) BeamGenerate(input []int, maxLen, width int) []Beam {
 			}
 			expanded = true
 			row := b.logits
+			maxv, lse := logNormalizer(row)
 			for _, id := range TopK(row, width) {
-				lp := logProb(row, id)
 				c := candidate{
 					Beam: Beam{
 						IDs:     append(append([]int{}, b.IDs...), id),
-						LogP:    b.LogP + lp,
+						LogP:    b.LogP + (float64(row[id]-maxv) - lse),
 						emitted: len(b.IDs) + 1,
 					},
 					parent: b,
@@ -178,11 +178,11 @@ func (t *Transformer) BeamGenerateUncached(input []int, maxLen, width int) []Bea
 			states := t.decodeStates(tp2, prefix, mem)
 			logits := t.Logits(tp2, tp2.SliceRows(states, states.R-1, states.R))
 			row := logits.Row(0)
+			maxv, lse := logNormalizer(row)
 			for _, id := range TopK(row, width) {
-				lp := logProb(row, id)
 				nb := Beam{
 					IDs:     append(append([]int{}, b.IDs...), id),
-					LogP:    b.LogP + lp,
+					LogP:    b.LogP + (float64(row[id]-maxv) - lse),
 					emitted: len(b.IDs) + 1,
 				}
 				if id == EOS {

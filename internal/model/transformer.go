@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -296,7 +295,16 @@ func argmax(xs []float32) int {
 }
 
 func logProb(logits []float32, idx int) float64 {
-	maxv := float32(math.Inf(-1))
+	maxv, lse := logNormalizer(logits)
+	return float64(logits[idx]-maxv) - lse
+}
+
+// logNormalizer returns a logits row's maximum and the log-sum-exp of
+// the row shifted by it, so log p(id) = float64(row[id]-maxv) - lse.
+// Beam search hoists it out of its per-kept-id loop; logProb is the same
+// expression, so both give bit-identical log-probabilities.
+func logNormalizer(logits []float32) (maxv float32, lse float64) {
+	maxv = float32(math.Inf(-1))
 	for _, v := range logits {
 		if v > maxv {
 			maxv = v
@@ -306,7 +314,7 @@ func logProb(logits []float32, idx int) float64 {
 	for _, v := range logits {
 		sum += math.Exp(float64(v - maxv))
 	}
-	return float64(logits[idx]-maxv) - math.Log(sum)
+	return maxv, math.Log(sum)
 }
 
 // Sample is one training example.
@@ -366,15 +374,33 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TopK returns the indexes of the k largest values (for inspection tools).
+// TopK returns the indexes of the k largest values in descending order
+// of value, equal values ordered by lower index (nil for k <= 0). It is a
+// single O(len(xs)·k) selection pass — beam search keeps width ids out of
+// a whole vocabulary row per step, where sorting the row dominated.
 func TopK(xs []float32, k int) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
+	if k > len(xs) {
+		k = len(xs)
 	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
+	if k <= 0 {
+		return nil
 	}
-	return idx[:k]
+	out := make([]int, 0, k)
+	for i, v := range xs {
+		if len(out) == k && !(v > xs[out[k-1]]) {
+			continue
+		}
+		// Insert after every kept value >= v: scanning in index order,
+		// that places v behind the lower-index ties.
+		p := len(out)
+		for p > 0 && v > xs[out[p-1]] {
+			p--
+		}
+		if len(out) < k {
+			out = append(out, 0)
+		}
+		copy(out[p+1:], out[p:len(out)-1])
+		out[p] = i
+	}
+	return out
 }

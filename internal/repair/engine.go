@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"fmt"
+	"iter"
 	"log"
 	"sync"
 
@@ -12,12 +13,15 @@ import (
 
 // Decoder supplies constrained re-decoding for one template row: the
 // alternative statements the model (and the training corpus) can offer
-// once the current candidate is refuted. Implementations must be
-// deterministic — candidate order is part of the repair loop's
+// once the current candidate is refuted, best first. Implementations must
+// be deterministic — candidate order is part of the repair loop's
 // byte-determinism contract — and must honor banned (refuted texts are
-// pruned, not re-proposed).
+// pruned, not re-proposed). The sequence is lazy: the engine stops
+// pulling at the first acceptable candidate or at its MaxCandidates
+// bound, so work behind a candidate nobody pulls (a beam search, say)
+// should not run.
 type Decoder interface {
-	Candidates(fnName string, row int, banned []string, forcePresent bool) []generate.Statement
+	Candidates(fnName string, row int, banned []string, forcePresent bool) iter.Seq[generate.Statement]
 }
 
 // Options bounds the CEGAR loop.
@@ -125,7 +129,8 @@ func (e *Engine) Run(ctx context.Context, fn *generate.Function, maxRounds int) 
 	fn.Verify = ver
 	e.m.attempted.Inc()
 
-	v := e.verifySafe(fn)
+	fv := e.oracle.function(fn.Name)
+	v := e.verifySafe(fv, fn)
 	switch {
 	case v.NoOracle:
 		ver.Status = generate.VerifyNoOracle
@@ -146,7 +151,7 @@ func (e *Engine) Run(ctx context.Context, fn *generate.Function, maxRounds int) 
 			break
 		}
 		ver.Rounds = round
-		improved := e.round(ctx, fn, &work, &v, banned)
+		improved := e.round(ctx, fv, fn, &work, &v, banned)
 		if v.Pass || !improved {
 			break
 		}
@@ -175,7 +180,7 @@ func (e *Engine) Run(ctx context.Context, fn *generate.Function, maxRounds int) 
 // of that, the candidate passing the most regression cases is adopted
 // when it strictly improves the current verdict, and the refuted text is
 // banned for later rounds. Returns whether the verdict improved.
-func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]generate.Statement, v *Verdict, banned map[int][]string) (improved bool) {
+func (e *Engine) round(ctx context.Context, fv *fnVerifier, fn *generate.Function, work *[]generate.Statement, v *Verdict, banned map[int][]string) (improved bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			// A panic mid-round (bad candidate text crashing the lexer,
@@ -192,7 +197,7 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 	// parses) — substitute every suspect's top surviving candidate in one
 	// move and verify once. A pass ends the repair; a strict improvement
 	// is adopted and the next round re-localizes from the new verdict.
-	if len(v.Suspects) >= 2 && e.batchSubstitute(ctx, fn, work, v, banned) {
+	if len(v.Suspects) >= 2 && e.batchSubstitute(ctx, fv, fn, work, v, banned) {
 		return true
 	}
 	suspects := v.Suspects
@@ -210,10 +215,13 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 		rowBans := append(append([]string(nil), banned[s.Row]...), s.Text)
 		var cands []generate.Statement
 		if e.dec != nil {
-			cands = e.dec.Candidates(fn.Name, s.Row, rowBans, s.ForcePresent)
-		}
-		if len(cands) > e.opt.MaxCandidates {
-			cands = cands[:e.opt.MaxCandidates]
+			// Stop at the bound without pulling one more: the next
+			// candidate may cost a beam search.
+			for cand := range e.dec.Candidates(fn.Name, s.Row, rowBans, s.ForcePresent) {
+				if cands = append(cands, cand); len(cands) == e.opt.MaxCandidates {
+					break
+				}
+			}
 		}
 		cur := (*work)[idx]
 		var best *Verdict
@@ -223,7 +231,7 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 				continue
 			}
 			(*work)[idx] = cand
-			trial := e.verifySafe(&generate.Function{
+			trial := e.verifySafe(fv, &generate.Function{
 				Name: fn.Name, Module: fn.Module, Target: fn.Target, Statements: *work,
 			})
 			e.m.tried.Inc()
@@ -254,7 +262,7 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 // batch only when it passes or strictly improves the verdict. The current
 // row text is NOT banned here: a dropped statement's own text, re-proposed
 // above the confidence threshold, is a legitimate (and common) fix.
-func (e *Engine) batchSubstitute(ctx context.Context, fn *generate.Function, work *[]generate.Statement, v *Verdict, banned map[int][]string) bool {
+func (e *Engine) batchSubstitute(ctx context.Context, fv *fnVerifier, fn *generate.Function, work *[]generate.Statement, v *Verdict, banned map[int][]string) bool {
 	if e.dec == nil || ctx.Err() != nil {
 		return false
 	}
@@ -266,7 +274,7 @@ func (e *Engine) batchSubstitute(ctx context.Context, fn *generate.Function, wor
 			continue
 		}
 		rowBans := banned[s.Row]
-		for _, cand := range e.dec.Candidates(fn.Name, s.Row, rowBans, s.ForcePresent) {
+		for cand := range e.dec.Candidates(fn.Name, s.Row, rowBans, s.ForcePresent) {
 			if cand.Row != s.Row || sameStatement(cand, (*work)[idx]) || inBans(rowBans, cand) {
 				continue
 			}
@@ -278,7 +286,7 @@ func (e *Engine) batchSubstitute(ctx context.Context, fn *generate.Function, wor
 	if !changed {
 		return false
 	}
-	trial := e.verifySafe(&generate.Function{
+	trial := e.verifySafe(fv, &generate.Function{
 		Name: fn.Name, Module: fn.Module, Target: fn.Target, Statements: *work,
 	})
 	e.m.tried.Inc()
@@ -290,9 +298,9 @@ func (e *Engine) batchSubstitute(ctx context.Context, fn *generate.Function, wor
 	return false
 }
 
-// verifySafe is Oracle.Verify behind a panic boundary: a crash during
+// verifySafe is fv.verify behind a panic boundary: a crash during
 // verification refutes the function under test instead of propagating.
-func (e *Engine) verifySafe(fn *generate.Function) (v Verdict) {
+func (e *Engine) verifySafe(fv *fnVerifier, fn *generate.Function) (v Verdict) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.m.panics.Inc()
@@ -304,7 +312,7 @@ func (e *Engine) verifySafe(fn *generate.Function) (v Verdict) {
 			}}
 		}
 	}()
-	return e.oracle.Verify(fn)
+	return fv.verify(fn)
 }
 
 // warnPanic logs the first recovered verification panic once per engine;

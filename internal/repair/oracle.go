@@ -90,9 +90,10 @@ type Verdict struct {
 	Suspects []Suspect
 }
 
-// Oracle verifies generated functions against one reference backend.
-// Each Verify call builds a fresh eval.Universe, so the oracle is safe
-// for concurrent use from the generation worker pool.
+// Oracle verifies generated functions against one reference backend. It
+// holds no state of its own, so it is safe for concurrent use from the
+// generation worker pool; the reference-side work is memoized per
+// function by the verifier each Verify (or Engine.Run) builds.
 type Oracle struct {
 	// Ref is the ground-truth backend (nil = nothing to verify against).
 	Ref *corpus.Backend
@@ -104,14 +105,48 @@ type Oracle struct {
 // reparse, and either agree with the reference on every regression case
 // or (for functions without a suite) be canonically text-equal.
 func (o *Oracle) Verify(fn *generate.Function) Verdict {
-	if o == nil || o.Ref == nil {
+	return o.function(fn.Name).verify(fn)
+}
+
+// fnVerifier verifies candidates for one function. Everything on the
+// reference side — the eval universe, the suite's cases, each case's
+// reference outcome, the reference's canonical statements — is computed
+// on first use and reused by every later candidate, which then runs only
+// the generated side. That is sound because a reference outcome depends
+// only on the reference function and the case: interpreted code cannot
+// assign object fields, the case stubs hold no state, and the universe
+// resets its effects per run. Memos are filled only once their
+// computation returns, so a panic (caught by the caller) recurs
+// identically on the next candidate, exactly as with no memo at all.
+//
+// A verifier belongs to one goroutine: the universe's effect log is
+// per-run mutable state.
+type fnVerifier struct {
+	name string
+	b    *corpus.Backend
+	ref  *cpp.Node // nil = no oracle
+
+	u     *eval.Universe // nil until the suite is built
+	cases []eval.Case
+	wants []*eval.Outcome // per case; nil until first run
+
+	refCanon bool // refTexts and refToks are set
+	refTexts []string
+	refToks  [][]string
+}
+
+func (o *Oracle) function(name string) *fnVerifier {
+	fv := &fnVerifier{name: name}
+	if o != nil && o.Ref != nil {
+		fv.b, fv.ref = o.Ref, o.Ref.Funcs[name]
+	}
+	return fv
+}
+
+func (fv *fnVerifier) verify(fn *generate.Function) Verdict {
+	if fv.ref == nil {
 		return Verdict{NoOracle: true}
 	}
-	ref := o.Ref.Funcs[fn.Name]
-	if ref == nil {
-		return Verdict{NoOracle: true}
-	}
-	u := eval.NewUniverse(o.Ref)
 	var v Verdict
 	genFn, perr := fn.Parse()
 	switch {
@@ -123,15 +158,14 @@ func (o *Oracle) Verify(fn *generate.Function) Verdict {
 		}
 	default:
 		cpp.Normalize(genFn)
-		cases := eval.Suite(fn.Name, u)
-		if len(cases) == 0 {
-			v = textualVerdict(genFn, ref)
+		if len(fv.suite()) == 0 {
+			v = fv.textualVerdict(genFn)
 		} else {
-			v = suiteVerdict(u, genFn, ref, cases)
+			v = fv.suiteVerdict(genFn)
 		}
 	}
 	if !v.Pass {
-		v.Suspects = suspects(fn, ref)
+		v.Suspects = fv.suspects(fn)
 		if v.CE != nil && v.CE.Row < 0 && len(v.Suspects) > 0 {
 			v.CE.Row = v.Suspects[0].Row
 			v.CE.Stmt = v.Suspects[0].Text
@@ -140,14 +174,46 @@ func (o *Oracle) Verify(fn *generate.Function) Verdict {
 	return v
 }
 
+// suite returns the function's regression cases, building the universe
+// and the suite on first use.
+func (fv *fnVerifier) suite() []eval.Case {
+	if fv.u == nil {
+		u := eval.NewUniverse(fv.b)
+		fv.cases = eval.Suite(fv.name, u)
+		fv.wants = make([]*eval.Outcome, len(fv.cases))
+		fv.u = u
+	}
+	return fv.cases
+}
+
+// want returns the reference outcome of case i, running it on first use.
+func (fv *fnVerifier) want(i int) eval.Outcome {
+	if fv.wants[i] == nil {
+		w := fv.u.RunCase(fv.ref, fv.cases[i])
+		fv.wants[i] = &w
+	}
+	return *fv.wants[i]
+}
+
+// canonicalRef returns the reference's canonical statements and their
+// tokens, computing them on first use.
+func (fv *fnVerifier) canonicalRef() (texts []string, toks [][]string) {
+	if !fv.refCanon {
+		fv.refTexts = canonicalStatements(fv.ref)
+		fv.refToks = tokenizeLines(fv.refTexts)
+		fv.refCanon = true
+	}
+	return fv.refTexts, fv.refToks
+}
+
 // suiteVerdict runs the regression grid; the first failing case becomes
 // the counterexample (suites enumerate simple inputs first, so the first
 // failure is the minimal witness).
-func suiteVerdict(u *eval.Universe, genFn, ref *cpp.Node, cases []eval.Case) Verdict {
-	v := Verdict{Total: len(cases)}
-	for _, c := range cases {
-		got := u.RunCase(genFn, c)
-		want := u.RunCase(ref, c)
+func (fv *fnVerifier) suiteVerdict(genFn *cpp.Node) Verdict {
+	v := Verdict{Total: len(fv.cases)}
+	for i, c := range fv.cases {
+		got := fv.u.RunCase(genFn, c)
+		want := fv.want(i)
 		// eval.FunctionPasses fails any function that raises a runtime
 		// error, even where the reference does too — mirror that.
 		if !got.Err && got.Equal(want) {
@@ -170,16 +236,16 @@ func suiteVerdict(u *eval.Universe, genFn, ref *cpp.Node, cases []eval.Case) Ver
 // textualVerdict is the no-suite fallback: canonical statement equality,
 // scored by exactly-matching aligned statements so the engine still has a
 // gradient to re-rank candidates by.
-func textualVerdict(genFn, ref *cpp.Node) Verdict {
+func (fv *fnVerifier) textualVerdict(genFn *cpp.Node) Verdict {
 	genTexts := canonicalStatements(genFn)
-	refTexts := canonicalStatements(ref)
+	refTexts, refToks := fv.canonicalRef()
 	v := Verdict{Total: len(refTexts)}
 	if strings.Join(genTexts, "\n") == strings.Join(refTexts, "\n") {
 		v.Pass = true
 		v.Passed = v.Total
 		return v
 	}
-	pairs := gumtree.AlignTokenized(tokenizeLines(genTexts), tokenizeLines(refTexts),
+	pairs := gumtree.AlignTokenized(tokenizeLines(genTexts), refToks,
 		gumtree.AlignOptions{MinSim: 0.3})
 	for _, p := range pairs {
 		if p.A >= 0 && p.B >= 0 && genTexts[p.A] == refTexts[p.B] {
@@ -199,7 +265,7 @@ func textualVerdict(genFn, ref *cpp.Node) Verdict {
 // Mismatched rows come first (wrong values), then spurious rows (matched
 // nothing), then — when reference statements went unmatched — the
 // dropped/absent rows with ForcePresent set.
-func suspects(fn *generate.Function, ref *cpp.Node) []Suspect {
+func (fv *fnVerifier) suspects(fn *generate.Function) []Suspect {
 	type keptRow struct {
 		row  int
 		text string // raw
@@ -211,13 +277,12 @@ func suspects(fn *generate.Function, ref *cpp.Node) []Suspect {
 			kept = append(kept, keptRow{row: s.Row, text: s.Text, can: canonicalText(s.Text)})
 		}
 	}
-	refTexts := canonicalStatements(ref)
+	refTexts, refToks := fv.canonicalRef()
 	tg := make([][]string, len(kept))
 	for i, k := range kept {
 		tg[i] = tokenizeLine(k.can)
 	}
-	pairs := gumtree.AlignTokenized(tg, tokenizeLines(refTexts),
-		gumtree.AlignOptions{MinSim: 0.3})
+	pairs := gumtree.AlignTokenized(tg, refToks, gumtree.AlignOptions{MinSim: 0.3})
 	var mismatched, spurious []Suspect
 	refMatched := make([]bool, len(refTexts))
 	for _, p := range pairs {

@@ -2,6 +2,11 @@ package repair
 
 import (
 	"context"
+	"fmt"
+	"iter"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,12 +90,12 @@ type stubDecoder struct {
 	panic bool
 }
 
-func (d *stubDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) []generate.Statement {
+func (d *stubDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) iter.Seq[generate.Statement] {
 	d.calls++
 	if d.panic {
 		panic("stub decoder explosion")
 	}
-	return d.cands[row]
+	return slices.Values(d.cands[row])
 }
 
 // ---- oracle ---------------------------------------------------------------
@@ -163,18 +168,7 @@ func TestOracleCounterexampleAndSuspects(t *testing.T) {
 }
 
 func TestOracleTextualFallback(t *testing.T) {
-	b := refBackend(t, "RISCV")
-	u := eval.NewUniverse(b)
-	name := ""
-	for _, f := range corpus.AllFuncs() {
-		if b.Funcs[f.Name] != nil && len(eval.Suite(f.Name, u)) == 0 {
-			name = f.Name
-			break
-		}
-	}
-	if name == "" {
-		t.Skip("every implemented function has a suite")
-	}
+	b, name := textualOnlyFunction(refBackend(t, "RISCV"))
 	o := &Oracle{Ref: b}
 	fn := selfFunction(t, b, name)
 	if v := o.Verify(fn); !v.Pass {
@@ -184,6 +178,81 @@ func TestOracleTextualFallback(t *testing.T) {
 	v := o.Verify(fn)
 	if v.Pass || v.CE == nil || !strings.Contains(v.CE.Want, "text equality") {
 		t.Errorf("%s: corrupted textual verdict = %+v, want textual counterexample", name, v)
+	}
+}
+
+// textualOnlyFunction returns a backend and a function it implements that
+// no regression suite covers, so the function's only oracle is the
+// textual fallback. When every function of b has a suite (RISCV's do),
+// the backend is a copy of b that also carries getRelocType under a name
+// no suite knows.
+func textualOnlyFunction(b *corpus.Backend) (*corpus.Backend, string) {
+	u := eval.NewUniverse(b)
+	for _, f := range corpus.AllFuncs() {
+		if b.Funcs[f.Name] != nil && len(eval.Suite(f.Name, u)) == 0 {
+			return b, f.Name
+		}
+	}
+	const name = "suitelessGetRelocType"
+	cp := *b
+	cp.Funcs = maps.Clone(b.Funcs)
+	cp.Funcs[name] = b.Funcs["getRelocType"]
+	return &cp, name
+}
+
+// TestFunctionVerifierMatchesFreshVerify: one per-function verifier fed a
+// sequence of candidates — reusing its universe, suite and memoized
+// reference outcomes — must return exactly the verdicts fresh
+// Oracle.Verify calls return, whatever order the candidates come in.
+func TestFunctionVerifierMatchesFreshVerify(t *testing.T) {
+	b := refBackend(t, "RISCV")
+	o := &Oracle{Ref: b}
+	suiteFn := func() *generate.Function { return selfFunction(t, b, "isLegalICmpImmediate") }
+	partial := suiteFn()
+	corrupt(t, partial, "return Imm >=", "  return Imm >= -16 && Imm < 16;")
+	unparseable := suiteFn()
+	unparseable.Statements[0].Text = "int ) ( {"
+	seqs := map[string][]*generate.Function{
+		"suite": {partial, suiteFn(), unparseable, partial, suiteFn()},
+		// Reference outcomes first filled by an unparseable candidate's
+		// (absent) suite run, then by a partial one.
+		"unparseable first": {unparseable, partial, suiteFn()},
+	}
+	oracles := map[string]*Oracle{"suite": o, "unparseable first": o}
+	tb, name := textualOnlyFunction(b)
+	bogus := selfFunction(t, tb, name)
+	bogus.Statements[len(bogus.Statements)/2].Text = "int totallyBogus = 99;"
+	seqs["textual"] = []*generate.Function{bogus, selfFunction(t, tb, name), bogus}
+	oracles["textual"] = &Oracle{Ref: tb}
+	for label, seq := range seqs {
+		o := oracles[label]
+		fv := o.function(seq[0].Name)
+		var verdicts []Verdict
+		for i, fn := range seq {
+			got, want := fv.verify(fn), o.Verify(fn)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s candidate %d: per-function verdict %+v, fresh %+v", label, i, got, want)
+			}
+			verdicts = append(verdicts, got)
+		}
+		// The sequence covers a pass and a failure each time.
+		var passes, fails int
+		for _, v := range verdicts {
+			if v.Pass {
+				passes++
+			} else {
+				fails++
+			}
+		}
+		if passes == 0 || fails == 0 {
+			t.Errorf("%s: %d passes, %d failures; want both", label, passes, fails)
+		}
+	}
+	if v := o.Verify(partial); v.Passed == 0 || v.Passed >= v.Total {
+		t.Errorf("partial candidate passed %d/%d, want a partial score", v.Passed, v.Total)
+	}
+	if v := o.Verify(unparseable); v.CE == nil || !strings.Contains(v.CE.Got, "unparseable") {
+		t.Errorf("unparseable candidate verdict = %+v, want unparseable counterexample", v)
 	}
 }
 
@@ -330,6 +399,40 @@ func TestEnginePanicIsolation(t *testing.T) {
 		if fn.Statements[i] != before[i] {
 			t.Errorf("row %d mutated after panicked repair", i)
 		}
+	}
+}
+
+// endlessDecoder proposes an unbounded stream of wrong candidates for
+// every row and counts how many the engine pulls.
+type endlessDecoder struct{ calls, pulled int }
+
+func (d *endlessDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) iter.Seq[generate.Statement] {
+	d.calls++
+	return func(yield func(generate.Statement) bool) {
+		for i := 0; ; i++ {
+			d.pulled++
+			if !yield(generate.Statement{Row: row, Text: fmt.Sprintf("  return %d;", 1000+i), Score: 1}) {
+				return
+			}
+		}
+	}
+}
+
+// TestEngineStopsPullingAtBound: candidate sequences are lazy, so the
+// engine must stop pulling at its MaxCandidates bound — without one
+// extra pull, which for the pipeline's decoder can cost a beam search.
+func TestEngineStopsPullingAtBound(t *testing.T) {
+	b := refBackend(t, "RISCV")
+	fn := selfFunction(t, b, "isLegalICmpImmediate")
+	corrupt(t, fn, "return Imm >=", "  return Imm >= -16 && Imm < 16;")
+	dec := &endlessDecoder{}
+	const bound = 3
+	NewEngine(&Oracle{Ref: b}, dec, Options{MaxCandidates: bound}, nil).Run(context.Background(), fn, -1)
+	if fn.Verify == nil || fn.Verify.Status != generate.VerifyFailed {
+		t.Fatalf("verify = %+v, want VerifyFailed", fn.Verify)
+	}
+	if dec.calls == 0 || dec.pulled > bound*dec.calls {
+		t.Errorf("pulled %d candidates over %d sequences, want at most %d each", dec.pulled, dec.calls, bound)
 	}
 }
 
