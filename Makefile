@@ -7,8 +7,9 @@
 
 GO ?= go
 
-.PHONY: check lint vet fmt-check test test-race obs-race kernels-race \
-	attn-race quant-race stage1-race corpus-race serve-race repair-race \
+.PHONY: check lint vet vet-fallback fmt-check test test-race obs-race \
+	kernels-race kernels-exhaustive attn-race quant-race stage1-race \
+	corpus-race serve-race repair-race \
 	build bench bench-stage1 bench-stage2 bench-stage3 bench-repair
 
 check: lint test-race
@@ -16,10 +17,18 @@ check: lint test-race
 build:
 	$(GO) build ./...
 
-lint: vet fmt-check
+lint: vet vet-fallback fmt-check
 
 vet:
 	$(GO) vet ./...
+
+# The kernel packages' other builds: arm64 compiles the non-amd64 stub
+# files, GOAMD64=v3 the stubs that replace the exp/GELU kernels (the
+# !amd64.v3 build tag). Neither build runs on this host; vet proves they
+# still compile.
+vet-fallback:
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/model
+	GOAMD64=v3 $(GO) vet ./internal/tensor
 
 # gofmt -l lists unformatted files; fail the build when any exist.
 fmt-check:
@@ -38,13 +47,21 @@ test-race:
 obs-race:
 	$(GO) test -race ./internal/obs
 
-# Kernel differential suite under the race detector: the blocked/SIMD
-# kernels against their naive references across worker counts, plus the
-# batched-vs-per-sample training differentials. Fails fast when a kernel
-# change breaks bit-identity or the parallel dispatch races.
+# Kernel differential suite under the race detector: the SIMD matmul
+# row kernel against its naive reference across worker counts and
+# widths, the exp/GELU kernels against math (the strided bit-pattern
+# sweep, boundary sets and fuzz seeds in transc_test.go) and against
+# their scalar loops, plus the batched-vs-per-sample training
+# differentials. Fails fast when a kernel change breaks bit-identity or
+# the parallel dispatch races.
 kernels-race:
 	$(GO) test -race ./internal/tensor
 	$(GO) test -race -run 'LossBatch|FitWorkersDeterministic|Kernel' ./internal/model
+
+# The exp and GELU kernels against math on all 2³² float32 inputs (about
+# 100 s on 2 cores); outside tier-1 because of its length.
+kernels-exhaustive:
+	$(GO) test -tags exhaustive -run 'TranscExhaustive' -timeout 60m ./internal/tensor
 
 # Attention-kernel suite under the race detector: the head-contiguous
 # score/weighted-sum kernels against their naive and strided (full-width

@@ -101,7 +101,7 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	// into per-head dense blocks before attending.
 	khb := getBuf(maxRows * dim)
 	vhb := getBuf(maxRows * dim)
-	smax, gelu := softmaxRow, geluRow
+	smax, gelu := softmaxRow, tensor.GELUInPlace
 	if qv != nil {
 		smax, gelu = qSoftmaxRow, qGeluRow
 	}

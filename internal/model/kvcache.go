@@ -267,7 +267,7 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 	dim := t.Cfg.Dim
 	pos := d.pos
 	s := d.scratch()
-	smax, gelu := softmaxRow, geluRow
+	smax, gelu := softmaxRow, tensor.GELUInPlace
 	if d.quant != nil {
 		smax, gelu = qSoftmaxRow, qGeluRow
 	}
@@ -434,7 +434,7 @@ func (t *Transformer) forwardEncode(input []int) []float32 {
 		}
 		layerNormRows(h, x, n, l.N2.Gain.Data, l.N2.Bias.Data)
 		f := linearRowsFwd(h, n, l.FF.In)
-		geluRow(f)
+		tensor.GELUInPlace(f)
 		fo := linearRowsFwd(f, n, l.FF.Out)
 		for j := range x {
 			x[j] += fo[j]
@@ -599,10 +599,9 @@ func softmaxRow(row []float32) {
 			maxv = v
 		}
 	}
+	tensor.ExpSubInto(row, row, maxv)
 	var sum float32
-	for j, v := range row {
-		e := float32(math.Exp(float64(v - maxv)))
-		row[j] = e
+	for _, e := range row {
 		sum += e
 	}
 	if sum > 0 {
@@ -610,15 +609,6 @@ func softmaxRow(row []float32) {
 		for j := range row {
 			row[j] *= inv
 		}
-	}
-}
-
-// geluRow mirrors GELU's forward pass in place.
-func geluRow(xs []float32) {
-	const c0 = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range xs {
-		x := float64(v)
-		xs[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+0.044715*x*x*x))))
 	}
 }
 
@@ -650,7 +640,7 @@ func qSoftmaxRow(row []float32) {
 	}
 }
 
-// qGeluRow is geluRow with FastTanh32, in float32 throughout.
+// qGeluRow is tensor.GELUInPlace with FastTanh32, in float32 throughout.
 func qGeluRow(xs []float32) {
 	const c0 = float32(0.7978845608028654) // sqrt(2/pi)
 	for i, v := range xs {

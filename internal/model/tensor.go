@@ -371,15 +371,13 @@ func (tp *Tape) ReLU(a *Tensor) *Tensor {
 // GELU applies the tanh-approximated Gaussian error linear unit.
 func (tp *Tape) GELU(a *Tensor) *Tensor {
 	out := tp.newTensorNoZero(a.R, a.C)
-	const c0 = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range a.Data {
-		x := float64(v)
-		out.Data[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+0.044715*x*x*x))))
-	}
+	copy(out.Data, a.Data)
+	tensor.GELUInPlace(out.Data)
 	return tp.record(out, func() {
 		if !a.requiresGrad {
 			return
 		}
+		const c0 = 0.7978845608028654 // sqrt(2/pi)
 		ag := tp.g(a)
 		for i := range ag {
 			x := float64(a.Data[i])
@@ -439,13 +437,15 @@ func (tp *Tape) Softmax(a *Tensor, mask []float32) *Tensor {
 				maxv = v
 			}
 		}
-		var sum float32
 		for j, v := range arow {
 			if mask != nil {
 				v += mask[i*a.C+j]
 			}
-			e := float32(math.Exp(float64(v - maxv)))
-			orow[j] = e
+			orow[j] = v
+		}
+		tensor.ExpSubInto(orow, orow, maxv)
+		var sum float32
+		for _, e := range orow {
 			sum += e
 		}
 		if sum > 0 {

@@ -253,3 +253,78 @@ func TestMergeGradsAccumulates(t *testing.T) {
 		}
 	}
 }
+
+// TestTapeActivationsMatchScalar pins the tape's GELU and Softmax forward
+// passes, which run tensor's vector kernels, to the scalar float64
+// formulas bit for bit — with and without a mask, including rows that
+// are all -Inf after masking (their softmax stays NaN, as the formula
+// gives).
+func TestTapeActivationsMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const r, c = 7, 37
+	a := NewTensor(r, c)
+	for i := range a.Data {
+		a.Data[i] = float32(rng.NormFloat64() * 3)
+	}
+	a.Data[5] = 0
+	a.Data[6] = float32(math.Copysign(0, -1))
+	a.Data[7] = 40
+	inf := float32(math.Inf(1))
+	mask := make([]float32, r*c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			if j > i*6 || i == 3 {
+				mask[i*c+j] = -inf // causal-style; row 3 fully masked
+			}
+		}
+	}
+	mask[6*c+1] = -0.5
+
+	bitsEqual := func(name string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: element %d = %v (bits %#x), want %v (bits %#x)",
+					name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+
+	want := make([]float32, r*c)
+	for i, v := range a.Data {
+		x := float64(v)
+		want[i] = float32(0.5 * x * (1 + math.Tanh(0.7978845608028654*(x+0.044715*x*x*x))))
+	}
+	bitsEqual("GELU", NewTape().GELU(a).Data, want)
+
+	for _, m := range [][]float32{nil, mask} {
+		for i := 0; i < r; i++ {
+			row := make([]float32, c)
+			maxv := float32(math.Inf(-1))
+			for j := range row {
+				row[j] = a.Data[i*c+j]
+				if m != nil {
+					row[j] += m[i*c+j]
+				}
+				maxv = max(maxv, row[j])
+			}
+			var sum float32
+			for j, v := range row {
+				row[j] = float32(math.Exp(float64(v - maxv)))
+				sum += row[j]
+			}
+			if sum > 0 {
+				inv := 1 / sum
+				for j := range row {
+					row[j] *= inv
+				}
+			}
+			copy(want[i*c:], row)
+		}
+		got := NewTape().Softmax(a, m).Data
+		bitsEqual("Softmax", got, want)
+		if m != nil && !math.IsNaN(float64(got[3*c])) {
+			t.Fatalf("fully masked row: softmax %v, want NaN", got[3*c])
+		}
+	}
+}

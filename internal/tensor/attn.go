@@ -61,9 +61,9 @@ func AttnScoresInto(out, q, k []float32, ctxLen, dh int) {
 // AttnWeightedSumInto accumulates out[j] += Σ_p w[p]·v[p*dh+j] for
 // j < dh: the softmax weights against the head's dense ctxLen×dh value
 // block. The dense layout makes this exactly one output row of MatMul,
-// so it runs the blocked row kernel (fused four-term AVX2 updates,
-// ascending-p term order, zero-skip on w) instead of the per-term
-// strided axpy loop the full-width layout forced.
+// so it runs the register-resident row kernel (ascending-p term order,
+// zero-skip on w; at dh = 12 one 8-wide and one 4-wide accumulator)
+// instead of the per-term strided axpy loop the full-width layout forced.
 func AttnWeightedSumInto(out, w, v []float32, ctxLen, dh int) {
-	matmulRows(out, w, v, 0, 1, ctxLen, dh)
+	mulRow(out[:dh], w, v, ctxLen, 1)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,9 +22,9 @@ func naiveAttnScores(out, q, k []float32, ctxLen, dh int) {
 
 // attnShapes cross the AVX2 dispatch gates (ctxLen ≥ 8, dh ≥ 8) and
 // both tails (row count not a multiple of 8, head dim not a multiple
-// of 8), plus the shipped model's dh=16.
+// of 8), plus the shipped model's dh=12 (Dim 48, 4 heads).
 var attnCtxLens = []int{1, 3, 7, 8, 9, 16, 23, 64, 129}
-var attnHeadDims = []int{1, 3, 7, 8, 11, 16, 24}
+var attnHeadDims = []int{1, 3, 7, 8, 11, 12, 16, 24}
 
 func TestAttnScoresMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -103,6 +104,57 @@ func TestAttnWeightedSumMatchesStridedMulRow(t *testing.T) {
 				equalBits(t, "AttnWeightedSumInto(vs MulRowInto)", got, want)
 			}
 		}
+	}
+}
+
+// TestAttnPathHeadDim12 runs one attention row the way the model does
+// at its shipped shape (Dim 48, 4 heads, dh = 12) — scores, a softmax
+// through ExpSubInto, the weighted sum — against naive loops and
+// math.Exp, bit for bit.
+func TestAttnPathHeadDim12(t *testing.T) {
+	const heads, dh = 4, 12
+	rng := rand.New(rand.NewSource(24))
+	for _, ctxLen := range attnCtxLens {
+		q := make([]float32, heads*dh)
+		fill(q, rng, 0.05)
+		got := make([]float32, heads*dh)
+		want := make([]float32, heads*dh)
+		for h := 0; h < heads; h++ {
+			qh := q[h*dh : (h+1)*dh]
+			k := make([]float32, ctxLen*dh)
+			v := make([]float32, ctxLen*dh)
+			fill(k, rng, 0)
+			fill(v, rng, 0)
+
+			w := make([]float32, ctxLen)
+			AttnScoresInto(w, qh, k, ctxLen, dh)
+			maxv := float32(math.Inf(-1))
+			for _, s := range w {
+				maxv = max(maxv, s)
+			}
+			ExpSubInto(w, w, maxv)
+			var sum float32
+			for _, e := range w {
+				sum += e
+			}
+			for j := range w {
+				w[j] *= 1 / sum
+			}
+			AttnWeightedSumInto(got[h*dh:(h+1)*dh], w, v, ctxLen, dh)
+
+			ref := make([]float32, ctxLen)
+			naiveAttnScores(ref, qh, k, ctxLen, dh)
+			var rsum float32
+			for j, s := range ref {
+				ref[j] = float32(math.Exp(float64(s - maxv)))
+				rsum += ref[j]
+			}
+			for j := range ref {
+				ref[j] *= 1 / rsum
+			}
+			naiveMatMul(want[h*dh:(h+1)*dh], ref, v, 1, ctxLen, dh)
+		}
+		equalBits(t, "attention row (dh=12)", got, want)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Fast float32 transcendentals for the quantized inference path. The
-// float32 kernels' bit-identity contract pins math.Exp/math.Tanh — the
-// tape and the exact decode path must keep calling those — but the int8
-// path is already an approximation guarded by the ambiguity fallback, so
-// its softmax/GELU/scoring can use short float32 polynomials instead of
-// the float64 library calls that otherwise dominate single-core decode.
+// float32 kernels' bit-identity contract pins the results of
+// math.Exp/math.Tanh — the tape and the exact decode path get them from
+// ExpSubInto/GELUInPlace (transc.go), lane-exact vector copies of those
+// library routines — but the int8 path is already an approximation
+// guarded by the ambiguity fallback, so its softmax/GELU/scoring can use
+// short float32 polynomials instead.
 //
 // Both functions are pure branches-and-arithmetic over float32: the same
 // input always produces the same output, so the quantized path stays

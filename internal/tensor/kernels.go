@@ -1,20 +1,22 @@
 // Package tensor is the numeric kernel layer under internal/model: the
 // float32 matrix kernels the autodiff tape, the batched trainer, and the
-// Stage 3 incremental decoder all share, plus the grow-only arena that
-// backs resettable tapes and the fused softmax+cross-entropy.
+// Stage 3 incremental decoder all share, the bit-exact exp and GELU
+// kernels of the float32 softmax and feed-forward (transc.go), plus the
+// grow-only arena that backs resettable tapes and the fused
+// softmax+cross-entropy.
 //
 // Determinism contract. Every kernel computes each output element by
 // adding its terms in ascending-k order, one float32 rounding per added
 // term, and skips a term exactly when its left operand is zero — the
 // same per-element semantics as a naive triple loop with a zero-skip.
-// The register blocking below only regroups loop iterations (fused
-// multi-term adds still associate left-to-right from the accumulator)
-// and the row-parallel dispatch only partitions *disjoint* output rows,
-// so results are bit-identical to the naive reference for any worker
-// count and any blocking factor. kernels_test.go enforces this with
-// differential and property tests; keep any new kernel inside the same
-// contract, because the Stage 3 cache (internal/model/kvcache.go) and
-// the training tape must keep producing identical floats.
+// The vector row kernel keeps each lane's running sum in a register for
+// the whole k loop, adding the same terms in the same order, and the
+// row-parallel dispatch only partitions *disjoint* output rows, so
+// results are bit-identical to the naive reference for any worker
+// count. kernels_test.go enforces this with differential and property
+// tests; keep any new kernel inside the same contract, because the
+// Stage 3 cache (internal/model/kvcache.go) and the training tape must
+// keep producing identical floats.
 package tensor
 
 import (
@@ -89,27 +91,39 @@ func Axpy(dst, src []float32, alpha float32) {
 	}
 }
 
-// fused4 computes o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
-// — the four-k-term block every blocked kernel reduces to. Terms
-// associate left-to-right from the accumulator with one rounding per
-// product and per add, in vector and scalar form alike.
-func fused4(o, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+// mulRow accumulates o[j] += Σ_p a[p·lda]·b[p·c+j] for j < c = len(o),
+// p < k: one output row of a matmul whose left operand row is strided by
+// lda. Each element receives its nonzero terms in ascending p with one
+// rounding per product and per add, and a term is skipped exactly when
+// a[p·lda] is ±0. With AVX2 the row kernel keeps all but the last c%4
+// columns in registers for the whole p loop; the loop below is the
+// fallback and finishes those columns.
+func mulRow(o, a, b []float32, k, lda int) {
+	c := len(o)
 	j := 0
-	if useAVX2 && len(o) >= 8 {
-		j = len(o) &^ 7
-		fused4AVX2(&o[0], &b0[0], &b1[0], &b2[0], &b3[0], j, a0, a1, a2, a3)
+	if useAVX2 && c >= 4 && k > 0 {
+		_, _ = a[(k-1)*lda], b[k*c-1] // the kernel reads this far
+		j = c &^ 3
+		matmulRowAVX2(&o[0], &a[0], &b[0], k, c, lda)
 	}
-	for ; j < len(o); j++ {
-		o[j] = o[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	if j == c {
+		return
+	}
+	for p := 0; p < k; p++ {
+		if av := a[p*lda]; av != 0 {
+			brow := b[p*c : (p+1)*c]
+			for q := j; q < c; q++ {
+				o[q] += av * brow[q]
+			}
+		}
 	}
 }
 
 // MatMul computes out += a·b with a r×k, b k×c (out accumulates; zero it
-// for a plain product). Blocked: four k-terms per pass share one load of
-// the output row, and the fused four-term adds associate left-to-right
-// from the accumulator, so each element still receives its nonzero terms
-// in ascending-k order with one rounding each — bit-identical to the
-// naive kernel. Large shapes fan out over disjoint row ranges.
+// for a plain product), one mulRow per output row, so each element
+// receives its nonzero terms in ascending-k order with one rounding each
+// — bit-identical to the naive kernel. Large shapes fan out over
+// disjoint row ranges.
 func MatMul(out, a, b []float32, r, k, c int) {
 	parallelRows(r, r*k*c, func(lo, hi int) {
 		matmulRows(out, a, b, lo, hi, k, c)
@@ -118,31 +132,7 @@ func MatMul(out, a, b []float32, r, k, c int) {
 
 func matmulRows(out, a, b []float32, lo, hi, k, c int) {
 	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*c : (i+1)*c]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				fused4(orow,
-					b[p*c:(p+1)*c], b[(p+1)*c:(p+2)*c],
-					b[(p+2)*c:(p+3)*c], b[(p+3)*c:(p+4)*c],
-					a0, a1, a2, a3)
-			} else if a0 != 0 || a1 != 0 || a2 != 0 || a3 != 0 {
-				// Mixed block (causal-attention rows end in exact zeros):
-				// fall back to per-term adds with the zero-skip intact.
-				for q := 0; q < 4; q++ {
-					if av := arow[p+q]; av != 0 {
-						Axpy(orow, b[(p+q)*c:(p+q+1)*c], av)
-					}
-				}
-			}
-		}
-		for ; p < k; p++ {
-			if av := arow[p]; av != 0 {
-				Axpy(orow, b[p*c:(p+1)*c], av)
-			}
-		}
+		mulRow(out[i*c:(i+1)*c], a[i*k:(i+1)*k], b, k, 1)
 	}
 }
 
@@ -190,42 +180,22 @@ func MatMulNT(dst, a, b []float32, r, k, c int) {
 	ntPool.Put(bt) //nolint:staticcheck // slice reuse is the point
 }
 
-// tnBlock is MatMulTN's k-tile: the naive kernel streams the whole
-// r×c destination once per row of a, this version only once per tile.
+// tnBlock is MatMulTN's k-tile: each output row's register-resident
+// pass covers one tile of b, which stays cache-resident across rows.
 const tnBlock = 64
 
 // MatMulTN computes dst += aᵀ·b with a r2×r, b r2×c, dst r×c. The k
-// (=r2) dimension is tiled so dst is streamed r2/tnBlock times instead
-// of r2 times; within a tile the same fused/skip structure as MatMul
-// keeps each element's nonzero terms in ascending-k order, one rounding
-// each. Parallel over dst rows.
+// (=r2) dimension is tiled so each tile of b is reused across every dst
+// row while it is in cache; within a tile, mulRow reads dst row i's
+// left operand as column i of a (stride r), so each element's nonzero
+// terms still add in ascending-k order, one rounding each. Parallel over
+// dst rows.
 func MatMulTN(dst, a, b []float32, r, r2, c int) {
 	parallelRows(r, r*r2*c, func(lo, hi int) {
 		for p0 := 0; p0 < r2; p0 += tnBlock {
 			p1 := min(p0+tnBlock, r2)
 			for i := lo; i < hi; i++ {
-				drow := dst[i*c : (i+1)*c]
-				p := p0
-				for ; p+4 <= p1; p += 4 {
-					a0, a1, a2, a3 := a[p*r+i], a[(p+1)*r+i], a[(p+2)*r+i], a[(p+3)*r+i]
-					if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-						fused4(drow,
-							b[p*c:(p+1)*c], b[(p+1)*c:(p+2)*c],
-							b[(p+2)*c:(p+3)*c], b[(p+3)*c:(p+4)*c],
-							a0, a1, a2, a3)
-					} else if a0 != 0 || a1 != 0 || a2 != 0 || a3 != 0 {
-						for q := 0; q < 4; q++ {
-							if av := a[(p+q)*r+i]; av != 0 {
-								Axpy(drow, b[(p+q)*c:(p+q+1)*c], av)
-							}
-						}
-					}
-				}
-				for ; p < p1; p++ {
-					if av := a[p*r+i]; av != 0 {
-						Axpy(drow, b[p*c:(p+1)*c], av)
-					}
-				}
+				mulRow(dst[i*c:(i+1)*c], a[p0*r+i:], b[p0*c:p1*c], p1-p0, r)
 			}
 		}
 	})
@@ -233,13 +203,13 @@ func MatMulTN(dst, a, b []float32, r, r2, c int) {
 
 // MulRowInto accumulates out[j] += a[p]·b[p*stride+off+j] for j < cols,
 // p < rows: one output row of MatMul against a sub-matrix of b. When the
-// sub-matrix is the whole of b the blocked row kernel applies; otherwise
+// sub-matrix is the whole of b the row kernel applies; otherwise
 // the p-outer loop with the zero-skip runs directly. Either way the
 // per-element term order matches MatMul exactly (the Stage 3 decoder
 // depends on this for its bit-identity with the tape path).
 func MulRowInto(out, a, b []float32, rows, cols, stride, off int) {
 	if off == 0 && stride == cols {
-		matmulRows(out, a, b, 0, 1, rows, cols)
+		mulRow(out[:cols], a, b, rows, 1)
 		return
 	}
 	for p := 0; p < rows; p++ {

@@ -66,6 +66,28 @@ func fill(xs []float32, rng *rand.Rand, zeroFrac float64) {
 // factors: the 4-wide register block and the 64-row MatMulTN tile.
 var kernelShapes = []int{1, 3, 4, 5, 13, 63, 64, 65, 133}
 
+// rowWidths are the output widths around the row kernel's 32/8/4-column
+// blocks and the shipped model's shapes: dh = 12, Dim 48, FF 96 and the
+// 1218-token vocabulary of the logits projection.
+var rowWidths = []int{4, 8, 12, 20, 36, 48, 96, 1218}
+
+// rowDepths cover the empty sum, a single term, odd depths, and the
+// model's Dim.
+var rowDepths = []int{0, 1, 3, 7, 48, 65}
+
+// fillSpecial is fill plus the values the zero-skip and NaN handling
+// must get right: ±0 are skipped, NaN and ±Inf are added.
+func fillSpecial(xs []float32, rng *rand.Rand) {
+	fill(xs, rng, 0.2)
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := range xs {
+		if rng.Intn(8) == 0 {
+			xs[i] = special[rng.Intn(len(special))]
+		}
+	}
+}
+
 func equalBits(t *testing.T, kernel string, got, want []float32) {
 	t.Helper()
 	for i := range want {
@@ -171,6 +193,60 @@ func TestMulRowIntoMatchesMatMulRow(t *testing.T) {
 	}
 }
 
+// equalFloats is equalBits with every NaN equal to every other: when two
+// NaNs meet in an add, which payload survives depends on the operand
+// order the compiler or the assembly picked, and IEEE 754 leaves it open.
+func equalFloats(t *testing.T, kernel string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.IsNaN(float64(got[i])) && math.IsNaN(float64(want[i])) {
+			continue
+		}
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (bits %x), want %v (bits %x)",
+				kernel, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestRowKernelMatchesNaive drives the register-resident row kernel at
+// every block width and depth, with a left operand holding ±0, NaN and
+// ±Inf, through MatMul, MatMulTN and MulRowInto.
+func TestRowKernelMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, c := range rowWidths {
+		for _, k := range rowDepths {
+			for _, r := range []int{1, 3} {
+				a := make([]float32, r*k)
+				at := make([]float32, k*r)
+				b := make([]float32, k*c)
+				fillSpecial(a, rng)
+				fillSpecial(at, rng)
+				fill(b, rng, 0.1)
+
+				got := make([]float32, r*c)
+				fill(got, rng, 0.1)
+				want := append([]float32(nil), got...)
+				MatMul(got, a, b, r, k, c)
+				naiveMatMul(want, a, b, r, k, c)
+				equalFloats(t, "MatMul(row kernel)", got, want)
+
+				clear(got)
+				clear(want)
+				MatMulTN(got, at, b, r, k, c)
+				naiveMatMulTN(want, at, b, r, k, c)
+				equalFloats(t, "MatMulTN(row kernel)", got, want)
+
+				row := make([]float32, c)
+				wantRow := make([]float32, c)
+				MulRowInto(row, a[:k], b, k, c, c, 0)
+				naiveMatMul(wantRow, a[:k], b, 1, k, c)
+				equalFloats(t, "MulRowInto(row kernel)", row, wantRow)
+			}
+		}
+	}
+}
+
 func TestDotColumnsMatchesTransposedMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, outer := range kernelShapes {
@@ -202,30 +278,38 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 	f.Add(int64(9), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(42), uint8(13), uint8(7), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, rr, kk, cc uint8) {
-		r, k, c := int(rr%24)+1, int(kk%24)+1, int(cc%24)+1
+		// k may be 0; c reaches past every row-kernel block width (an
+		// odd seed also adds ±0, NaN and ±Inf to a).
+		r, k, c := int(rr%24)+1, int(kk%25), int(cc%100)+1
 		rng := rand.New(rand.NewSource(seed))
 		a := make([]float32, r*k)
 		b := make([]float32, k*c)
 		fill(a, rng, 0.3)
+		if seed&1 != 0 {
+			fillSpecial(a, rng)
+		}
 		fill(b, rng, 0.1)
 		got := make([]float32, r*c)
 		want := make([]float32, r*c)
 		MatMul(got, a, b, r, k, c)
 		naiveMatMul(want, a, b, r, k, c)
-		equalBits(t, "MatMul(fuzz)", got, want)
+		equalFloats(t, "MatMul(fuzz)", got, want)
 
+		if k == 0 {
+			return
+		}
 		gotNT := make([]float32, r*k)
 		wantNT := make([]float32, r*k)
 		// dst r×k += (r×c)·(k×c)ᵀ reuses got as a and b as bᵀ-shaped input.
 		MatMulNT(gotNT, got, b, r, c, k)
 		naiveMatMulNT(wantNT, got, b, r, c, k)
-		equalBits(t, "MatMulNT(fuzz)", gotNT, wantNT)
+		equalFloats(t, "MatMulNT(fuzz)", gotNT, wantNT)
 
 		gotTN := make([]float32, k*c)
 		wantTN := make([]float32, k*c)
 		MatMulTN(gotTN, a, got, k, r, c)
 		naiveMatMulTN(wantTN, a, got, k, r, c)
-		equalBits(t, "MatMulTN(fuzz)", gotTN, wantTN)
+		equalFloats(t, "MatMulTN(fuzz)", gotTN, wantTN)
 	})
 }
 

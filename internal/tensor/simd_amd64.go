@@ -2,11 +2,11 @@
 
 package tensor
 
-// The assembly kernels vectorize the two inner loops every matmul-family
-// kernel reduces to — axpy and the fused four-term row update — with
+// The assembly kernels vectorize the two loops every matmul-family
+// kernel reduces to — axpy and the register-resident output row — with
 // VMULPS/VADDPS only. Each lane performs exactly the scalar sequence
-// (separate rounding for the product and for each add, terms associated
-// left-to-right from the accumulator), and lanes never exchange data, so
+// (separate rounding for the product and for each add, terms added in
+// ascending k from the accumulator), and lanes never exchange data, so
 // the vector results are bit-identical to the pure-Go loops; the
 // differential tests in kernels_test.go run both paths against the same
 // naive reference. FMA is deliberately not used: a fused multiply-add
@@ -19,10 +19,10 @@ func xgetbv0() (eax, edx uint32)
 // processed 8 at a time; the caller handles n%8 leftovers).
 func axpyAVX2(dst, src *float32, n int, alpha float32)
 
-// fused4AVX2 computes o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] +
-// a3·b3[j] for n elements, left-to-right per element (n processed 8 at
-// a time; the caller handles leftovers).
-func fused4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
+// matmulRowAVX2 computes o[j] += Σ_p a[p·lda]·b[p·c+j] for j < c&^3 and
+// p < k (k ≥ 1), keeping the output row in registers for the whole p
+// loop; the caller handles the last c%4 columns.
+func matmulRowAVX2(o, a, b *float32, k, c, lda int)
 
 // useAVX2 gates the assembly paths: AVX2 present and YMM state enabled
 // by the OS. Checked once at init; the pure-Go loops are the fallback

@@ -11,6 +11,6 @@ func axpyAVX2(dst, src *float32, n int, alpha float32) {
 	panic("tensor: axpyAVX2 on non-amd64")
 }
 
-func fused4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32) {
-	panic("tensor: fused4AVX2 on non-amd64")
+func matmulRowAVX2(o, a, b *float32, k, c, lda int) {
+	panic("tensor: matmulRowAVX2 on non-amd64")
 }
