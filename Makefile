@@ -114,10 +114,13 @@ serve-race:
 # seeds run across goroutines precisely so the race detector watches the
 # compiler tables and both executors being shared; the pipeline's verify
 # tests, among them the lazy-vs-eager candidate differential at Workers
-# 1 and 2; and the beam step's TopK contract, fuzz seeds and hoisted
-# log-normalizer bit-identity.
+# 1 and 2; the beam step's TopK contract, fuzz seeds and hoisted
+# log-normalizer bit-identity; and the oracle's shared universe tables
+# (the shared-vs-fresh environment differential, the per-case MF view)
+# plus the deterministic core-enum correlation feeding target values.
 repair-race:
 	$(GO) test -race ./internal/repair
+	$(GO) test -race -run 'RunCase|Universe|FunctionPasses|CorrelateEnum' ./internal/eval ./internal/feature
 	$(GO) test -race -run 'DifferentialInterpVsSim' ./internal/sim
 	$(GO) test -race -run 'Verify|Repair' ./internal/core
 	$(GO) test -race -run 'TopK|HoistedNormalizer' ./internal/model

@@ -565,6 +565,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	// runs are independent and the output stays byte-identical for any
 	// worker count.
 	var eng *repair.Engine
+	tvs := &targetValueMemo{}
 	repairRounds := -1 // engine default
 	if opt.Verify || p.Cfg.Verify {
 		// A target outside the fleet (generating for a brand new ISA)
@@ -578,7 +579,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 				log.Printf("core: reference backend for %s unavailable, verification reports no-oracle: %v", target, err)
 			})
 		}
-		var dec repair.Decoder = repairDecoder{p: p, target: target}
+		var dec repair.Decoder = repairDecoder{p: p, target: target, tvs: tvs}
 		if p.wrapRepairDecoder != nil {
 			dec = p.wrapRepairDecoder(dec)
 		}
@@ -635,7 +636,12 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 				if eng != nil {
 					// Outside the timing: Seconds keeps Fig. 7's
 					// encode + decode semantics whether or not verify is on.
+					// Repair mines candidates from the target values the
+					// encode step resolved; the memo entry lives only as
+					// long as the function's repair.
+					tvs.put(g.Func.Name, mode.tv)
 					eng.Run(ctx, results[i], repairRounds)
+					tvs.drop(g.Func.Name)
 				}
 				fnSpan.End()
 				p.gm.functions.Inc()

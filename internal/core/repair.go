@@ -3,6 +3,7 @@ package core
 import (
 	"iter"
 	"strings"
+	"sync"
 
 	"vega/internal/confidence"
 	"vega/internal/cpp"
@@ -40,9 +41,59 @@ const repairBeamWidth = 4
 // Candidate scores are lifted to the confidence threshold so an adopted
 // candidate renders; only fully verified functions ever keep these
 // lifted scores — failed repairs revert to the original statements.
+//
+// The target values a row's candidates are mined from come from tvs: the
+// Stage 3 worker hands over the set it resolved for encoding, so repair
+// resolves none of its own.
 type repairDecoder struct {
 	p      *Pipeline
 	target string
+	tvs    *targetValueMemo
+}
+
+// targetValueMemo holds the resolved target values of the functions
+// being repaired, keyed by function name, for one GenerateBackendOptions
+// call. Each function belongs to one worker, so a key is never written
+// by two goroutines; the mutex guards the map itself.
+type targetValueMemo struct {
+	mu sync.Mutex
+	m  map[string]*feature.TargetFeatures
+}
+
+// put memoizes tv for the function name; a nil tv records nothing.
+func (m *targetValueMemo) put(name string, tv *feature.TargetFeatures) {
+	if tv == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.m == nil {
+		m.m = make(map[string]*feature.TargetFeatures)
+	}
+	m.m[name] = tv
+}
+
+func (m *targetValueMemo) get(name string) *feature.TargetFeatures {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m[name]
+}
+
+func (m *targetValueMemo) drop(name string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.m, name)
+}
+
+// targetValues returns g's target values, resolving and memoizing them
+// only when no worker handed them over (its encode step panicked).
+func (d repairDecoder) targetValues(g *Group) *feature.TargetFeatures {
+	if tv := d.tvs.get(g.Func.Name); tv != nil {
+		return tv
+	}
+	tv := d.p.Extractor.TargetValues(g.TF, d.target)
+	d.tvs.put(g.Func.Name, tv)
+	return tv
 }
 
 func (d repairDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) iter.Seq[generate.Statement] {
@@ -58,7 +109,7 @@ func (d repairDecoder) candidates(fnName string, row int, banned []string, force
 	if g == nil || row < 0 || row >= len(g.FT.Rows) {
 		return
 	}
-	tv := d.p.Extractor.TargetValues(g.TF, d.target)
+	tv := d.targetValues(g)
 	skip := make(map[string]bool, len(banned))
 	for _, b := range banned {
 		skip[b] = true

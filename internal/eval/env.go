@@ -8,11 +8,11 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
 	"vega/internal/corpus"
-	"vega/internal/cpp"
 	"vega/internal/interp"
 )
 
@@ -23,12 +23,16 @@ const regBase = 1000
 const firstTargetFixupKind = 128
 
 // Universe is the symbol and stub environment of one target, shared by
-// every regression case.
+// every regression case. A Universe belongs to one goroutine: its effect
+// log is per-run mutable state.
 type Universe struct {
 	T       *corpus.TargetSpec
 	Backend *corpus.Backend
 	// effects collects observable side effects during one case run.
 	effects []string
+	// tables is Env(0), built on first use: the fixed part of every
+	// case's environment (see RunCase).
+	tables *interp.Env
 }
 
 // NewUniverse builds the universe for a target's backend.
@@ -55,8 +59,18 @@ func (u *Universe) Effects() []string {
 	return append([]string{}, u.effects...)
 }
 
+// sharedEnv returns the universe's fixed tables, building them once.
+func (u *Universe) sharedEnv() *interp.Env {
+	if u.tables == nil {
+		u.tables = u.Env(0)
+	}
+	return u.tables
+}
+
 // Env builds a fresh interpreter environment bound to this universe.
-// optLevel parametrizes the ambient MachineFunction stub.
+// optLevel parametrizes the ambient MachineFunction stub. Nothing in it
+// holds per-run state: the stubs are constant and the builtins pure, so
+// one Env can serve any number of calls.
 func (u *Universe) Env(optLevel int64) *interp.Env {
 	env := interp.NewEnv()
 	t := u.T
@@ -177,26 +191,11 @@ func (u *Universe) Env(optLevel int64) *interp.Env {
 	}
 
 	// Sibling backend functions (the base compiler's correct parts):
-	// generated or reference code may call e.g. adjustFixupValue.
-	for name, fn := range u.Backend.Funcs {
-		name, fn := name, fn
-		env.Funcs[name] = func(args []any) (any, error) {
-			return interp.Call(fn, env, bindArgs(fn, args))
-		}
-	}
+	// generated or reference code may call e.g. adjustFixupValue. They
+	// run in their caller's environment, so a sibling called from a case
+	// sees that case's globals (an MF override, say).
+	env.Procs = maps.Clone(u.Backend.Funcs)
 	return env
-}
-
-// bindArgs maps positional arguments to a function's parameter names.
-func bindArgs(fn *cpp.Node, args []any) map[string]any {
-	out := make(map[string]any)
-	params := fn.Children[1]
-	for i, p := range params.Children {
-		if i < len(args) && p.Value != "" {
-			out[p.Value] = args[i]
-		}
-	}
-	return out
 }
 
 func asInt(args []any, i int) (int64, bool) {

@@ -33,14 +33,20 @@ func (o Outcome) Equal(p Outcome) bool {
 	return true
 }
 
-// RunCase executes fn under one case and captures the outcome.
+// caseMaxSteps is the interpreter step budget of each call a case makes.
+const caseMaxSteps = 200_000
+
+// RunCase executes fn under one case and captures the outcome. The case
+// runs on a view that binds only its Globals over the universe's shared
+// tables (built once, on the first case), so a case override shadows a
+// table entry without touching it and the next case starts clean.
 func (u *Universe) RunCase(fn *cpp.Node, c Case) Outcome {
+	return u.run(fn, c, &interp.Env{Globals: c.Globals, Base: u.sharedEnv(), MaxSteps: caseMaxSteps})
+}
+
+// run executes fn with c's arguments in env and captures the outcome.
+func (u *Universe) run(fn *cpp.Node, c Case, env *interp.Env) Outcome {
 	u.ResetEffects()
-	env := u.Env(0)
-	for k, v := range c.Globals {
-		env.Globals[k] = v
-	}
-	env.MaxSteps = 200_000
 	ret, err := interp.Call(fn, env, c.Args)
 	out := Outcome{Effects: u.Effects()}
 	switch {

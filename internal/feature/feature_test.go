@@ -346,3 +346,30 @@ func TestCamelRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCorrelateEnumSharedMemberDeterministic: when two LLVMDIRs enums
+// share the member a target enum's initializer references, correlation
+// picks the first declaring enum in path order, the same on every call.
+func TestCorrelateEnumSharedMemberDeterministic(t *testing.T) {
+	tree := miniTree()
+	tree.Add("llvm/MC/MCAlpha.h", `
+enum AlphaKind {
+  SharedBase = 64
+};`)
+	tree.Add("llvm/MC/MCBeta.h", `
+enum BetaKind {
+  SharedBase = 96
+};`)
+	const path = "lib/Target/ARM/ARMShared.h"
+	tree.Add(path, `
+enum SharedKinds {
+  arm_shared = SharedBase
+};`)
+	e := NewExtractor(tree, nil)
+	for i := 0; i < 100; i++ {
+		got, ok := e.correlateEnum("SharedKinds", path)
+		if !ok || got != "AlphaKind" {
+			t.Fatalf("call %d: correlateEnum = %q, %v; want AlphaKind, true", i, got, ok)
+		}
+	}
+}

@@ -304,7 +304,6 @@ func (e *Extractor) correlateEnum(enumName, path string) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	llvmEnums := e.Tree.EnumsUnder(e.LLVMDirs)
 	for _, en := range enums {
 		if en.Name != enumName {
 			continue
@@ -314,13 +313,11 @@ func (e *Extractor) correlateEnum(enumName, path string) (string, bool) {
 				continue
 			}
 			for _, ref := range strings.Fields(m.Value) {
-				for corePath, ces := range llvmEnums {
-					for _, ce := range ces {
-						if ce.Has(ref) {
-							_ = corePath
-							return ce.Name, true
-						}
-					}
+				// The first declaring enum in path order, so the answer
+				// is the same on every call when two core enums share
+				// a member.
+				if core, _, ok := e.Tree.EnumContaining(ref, e.LLVMDirs); ok {
+					return core, true
 				}
 			}
 		}

@@ -26,13 +26,13 @@ func (f *frame) eval(e *cpp.Node) (any, error) {
 	case cpp.KindIdent:
 		return f.lookup(e.Value)
 	case cpp.KindQualified:
-		if v, ok := f.env.Qualified[e.Value]; ok {
+		if v, ok := f.env.qualified(e.Value); ok {
 			return v, nil
 		}
 		// Fall back to the last component as a global (enum members are
 		// often usable unqualified).
 		parts := strings.Split(e.Value, "::")
-		if v, ok := f.env.Globals[parts[len(parts)-1]]; ok {
+		if v, ok := f.env.global(parts[len(parts)-1]); ok {
 			return v, nil
 		}
 		return nil, errf("unknown qualified name %q", e.Value)
@@ -120,7 +120,7 @@ func (f *frame) lookup(name string) (any, error) {
 	case "nullptr":
 		return nil, nil
 	}
-	if v, ok := f.env.Globals[name]; ok {
+	if v, ok := f.env.global(name); ok {
 		return v, nil
 	}
 	return nil, errf("unknown identifier %q", name)
@@ -372,8 +372,8 @@ func (f *frame) evalCall(e *cpp.Node) (any, error) {
 			}
 			return nil, Fatal{Msg: msg}
 		}
-		if fn, ok := f.env.Funcs[name]; ok {
-			return fn(args)
+		if ret, ok, err := f.callFree(name, args); ok {
+			return ret, err
 		}
 		return nil, errf("unknown function %q", name)
 	case cpp.KindMember:
@@ -395,11 +395,39 @@ func (f *frame) evalCall(e *cpp.Node) (any, error) {
 		// Qualified free function, e.g. Helper::run — resolve by the last
 		// component.
 		parts := strings.Split(callee.Value, "::")
-		if fn, ok := f.env.Funcs[parts[len(parts)-1]]; ok {
-			return fn(args)
+		if ret, ok, err := f.callFree(parts[len(parts)-1], args); ok {
+			return ret, err
 		}
 		return nil, errf("unknown function %q", callee.Value)
 	default:
 		return nil, errf("cannot call %v", callee.Kind)
 	}
+}
+
+// callFree calls the free function name resolves to, searching each
+// environment level's Procs, then its Funcs, before its Base. ok is
+// false when nothing binds name.
+func (f *frame) callFree(name string, args []any) (ret any, ok bool, err error) {
+	for e := f.env; e != nil; e = e.Base {
+		if fn, found := e.Procs[name]; found {
+			ret, err = Call(fn, f.env, bindArgs(fn, args))
+			return ret, true, err
+		}
+		if fn, found := e.Funcs[name]; found {
+			ret, err = fn(args)
+			return ret, true, err
+		}
+	}
+	return nil, false, nil
+}
+
+// bindArgs maps positional arguments to a function's parameter names.
+func bindArgs(fn *cpp.Node, args []any) map[string]any {
+	out := make(map[string]any)
+	for i, p := range fn.Children[1].Children {
+		if i < len(args) && p.Value != "" {
+			out[p.Value] = args[i]
+		}
+	}
+	return out
 }

@@ -44,7 +44,9 @@ func (o *Object) Const(name string, v any) *Object {
 	return o.On(name, func([]any) (any, error) { return v, nil })
 }
 
-// Env is the execution environment of one call.
+// Env is the execution environment of one call. The interpreter only
+// reads an Env's maps, never writes them, so one Env (or one Base) may
+// serve many calls.
 type Env struct {
 	// Globals resolves bare identifiers: enum members (FK_Data_4,
 	// Success), feature-bit names, objects passed by the harness.
@@ -53,7 +55,17 @@ type Env struct {
 	Qualified map[string]any
 	// Funcs resolves free function calls (report_fatal_error, helpers).
 	Funcs map[string]func(args []any) (any, error)
-	// MaxSteps bounds execution; 0 means the default (1e6).
+	// Procs resolves free function calls to interpreted functions, ahead
+	// of Funcs. A proc runs in its caller's environment, so it sees the
+	// same globals the caller does; its positional arguments bind to its
+	// parameter names, and its frame gets a fresh MaxSteps budget.
+	Procs map[string]*cpp.Node
+	// Base, when non-nil, resolves every name this Env does not bind:
+	// many calls can share one set of fixed tables while each binds its
+	// own globals on top.
+	Base *Env
+	// MaxSteps bounds execution; 0 means the default (1e6). Only the Env
+	// passed to Call counts; a Base's MaxSteps is ignored.
 	MaxSteps int
 }
 
@@ -64,6 +76,26 @@ func NewEnv() *Env {
 		Qualified: make(map[string]any),
 		Funcs:     make(map[string]func(args []any) (any, error)),
 	}
+}
+
+// global resolves a bare identifier through e and its bases.
+func (e *Env) global(name string) (any, bool) {
+	for ; e != nil; e = e.Base {
+		if v, ok := e.Globals[name]; ok {
+			return v, true
+		}
+	}
+	return nil, false
+}
+
+// qualified resolves a "NS::member" name through e and its bases.
+func (e *Env) qualified(name string) (any, bool) {
+	for ; e != nil; e = e.Base {
+		if v, ok := e.Qualified[name]; ok {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // Fatal is the error produced by report_fatal_error / llvm_unreachable —

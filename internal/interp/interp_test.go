@@ -273,3 +273,29 @@ func TestMethodChaining(t *testing.T) {
 		t.Errorf("got %v, %v", got, err)
 	}
 }
+
+// TestBaseAndProcs: an Env resolves what it does not bind through its
+// Base, its own bindings shadow the Base's, and a proc runs in the
+// caller's Env, so it sees the caller's globals and positional
+// arguments bind to its parameter names.
+func TestBaseAndProcs(t *testing.T) {
+	base := NewEnv()
+	base.Globals["Scale"] = int64(2)
+	base.Globals["Bias"] = int64(1)
+	base.Qualified["X::Ten"] = int64(10)
+	base.Procs = map[string]*cpp.Node{
+		"affine": parseFn(t, `int affine(int v) { return v * Scale + Bias; }`),
+	}
+	base.Funcs["affine"] = func([]any) (any, error) { return int64(-1), nil }
+	fn := parseFn(t, `int f(int a) { return affine(a) + X::Ten + X::Bias; }`)
+
+	got, err := Call(fn, &Env{Base: base}, map[string]any{"a": int64(3)})
+	if err != nil || got != int64(3*2+1+10+1) {
+		t.Errorf("through Base: got %v, %v; want 18", got, err)
+	}
+	view := &Env{Globals: map[string]any{"Scale": int64(5)}, Base: base}
+	got, err = Call(fn, view, map[string]any{"a": int64(3)})
+	if err != nil || got != int64(3*5+1+10+1) {
+		t.Errorf("shadowed Scale: got %v, %v; want 27 (the proc must see the caller's globals)", got, err)
+	}
+}

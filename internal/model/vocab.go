@@ -297,8 +297,7 @@ func splitUnits(tok string) []string {
 		}
 		curClass = 0
 	}
-	rs := []rune(tok)
-	for i, r := range rs {
+	for _, r := range []rune(tok) {
 		switch {
 		case r >= 'a' && r <= 'z':
 			if curClass != 1 && curClass != 2 {
@@ -320,7 +319,6 @@ func splitUnits(tok string) []string {
 			}
 			cur.WriteRune(r)
 			curClass = 2
-			_ = i
 		case r >= '0' && r <= '9':
 			if curClass != 3 {
 				flush()

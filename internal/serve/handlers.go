@@ -214,7 +214,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	opt, reasons, truncReason := s.cfg.Policy.Apply(opt, beamWidth, pressure)
 
 	res := &genResult{}
-	ran, err := s.sched.Do(ctx, func(jctx context.Context) {
+	_, err := s.sched.Do(ctx, func(jctx context.Context) {
 		// Request-level panic boundary: anything that escapes the
 		// per-function isolation inside GenerateBackendOptions (or the
 		// armed serve-handler-panic fault) becomes a degraded 200, never
@@ -249,7 +249,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
 		return
 	}
-	_ = ran
 
 	if res.panicked {
 		resp := &GenerateResponse{

@@ -56,10 +56,6 @@ func New(obj *compiler.Object, tb *compiler.Tables, cfg Config) (*VM, error) {
 		arrayBase: map[string]int{},
 	}
 	top := 0
-	for name, n := range obj.Arrays {
-		_ = name
-		_ = n
-	}
 	// Deterministic layout: sorted names.
 	for _, name := range sortedNames(obj.Arrays) {
 		vm.arrayBase[name] = top
